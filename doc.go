@@ -18,9 +18,9 @@
 //     methods ("flux", "fmd", "fmq", "fmes"); RegisterMethod adds more.
 //
 // Both extension points are fully public. A custom method implements
-// Rounder against Env and EngineConfig — one synchronous round of training
-// over env.Batch, ExtractUpdate, and Aggregate — and registers with
-// RegisterMethod; a custom execution substrate implements Transport. Neither
+// Rounder against Env and EngineConfig — one round of training over the
+// cohort's env.Batch and ExtractUpdate, ended by handing a SlotResult per
+// slot to env.FinishRound — and registers with RegisterMethod; a custom execution substrate implements Transport. Neither
 // requires code inside this module: examples/external_method is a complete
 // method in its own Go module, and package fluxtest is the conformance
 // suite (determinism, cancellation, aggregation order, event-stream shape,
@@ -72,11 +72,12 @@
 // spec as one reviewable JSON artifact, and RoundEvent reports each round's
 // Selected/Completed/Dropped counts and straggler-wait idle time.
 //
-// Server aggregation is a policy, not a barrier. An AggregationSpec
+// Server aggregation is a policy, not a barrier. Every method ends its
+// round in one server reduction, Env.FinishRound, and an AggregationSpec
 // (WithAggregation; the "aggregation" scenario field; `fluxsim -agg`)
-// selects among three modes run by an event-driven server core: "sync" (the
-// default — the historical barrier reduction, bit-identical to the
-// pre-aggregation engine and pinned by the golden fixtures), "async"
+// selects among its three modes: "sync" (the default — the barrier round:
+// stragglers resolved at the deadline, the kept updates aggregated once in
+// slot order, pinned by the golden fixtures), "async"
 // (FedBuff-style buffered aggregation: the server flushes every BufferK
 // arrivals into a version-tagged global model, scaling an update s versions
 // stale by 1/(1+s)^StalenessAlpha, and never idles at a deadline), and

@@ -20,10 +20,12 @@ import (
 // experiment harness operate on — no translation layer, no drift.
 //
 // A method implementation typically looks like the synchronous FedAvg loop:
-// for each participant, clone the global model (env.Global.Clone), run local
-// SGD over env.Batch(i, r) with NewGrads/ForwardBackward/ApplySGD, extract
-// the tuned experts with ExtractUpdate, then fold all updates back with
-// Aggregate and report per-phase simulated seconds. See
+// for each participant of the round's cohort (env.Cohort), clone the global
+// model (env.Global.Clone), run local SGD over env.Batch(i, r) with
+// NewGrads/ForwardBackward/ApplySGD, extract the tuned experts with
+// ExtractUpdate, and record a SlotResult with its traffic and per-phase
+// simulated seconds; then return env.FinishRound(cohort, slots), which
+// aggregates and accounts the round the way every built-in does. See
 // examples/external_method for a complete out-of-module method, and package
 // fluxtest for the conformance suite every implementation should pass.
 
@@ -39,19 +41,21 @@ func DefaultEngineConfig() EngineConfig { return fed.DefaultConfig() }
 
 // Env is a fully materialized federated experiment: the pre-trained global
 // model, per-participant non-IID shards and device profiles, a held-out test
-// set, and per-round observability counters. Rounders mutate env.Global in
-// place and report traffic through ObserveUplink/ObserveAggregated; drivers
-// score progress with Evaluate. Build one with NewEnv, or let Experiment.Run
-// build it for you.
+// set, and per-round observability counters. Rounders end each round with
+// FinishRound, which aggregates into env.Global and reports the round's
+// traffic and census; drivers score progress with Evaluate. Build one with
+// NewEnv, or let Experiment.Run build it for you.
 type Env = fed.Env
 
-// Rounder is a federated fine-tuning method: it executes one synchronous
-// round, mutating env.Global, and returns the simulated duration of the
-// round broken down by Phase. Implementations must be deterministic in the
+// Rounder is a federated fine-tuning method: it executes one round,
+// mutating env.Global, and returns the simulated duration of the round
+// broken down by Phase. Implementations must be deterministic in the
 // environment's seed, must poll env.Canceled between participants so a long
 // round can be abandoned promptly, and must aggregate participants in a
-// fixed order so floating-point accumulation is reproducible. Package
-// fluxtest checks all of these contracts.
+// fixed order so floating-point accumulation is reproducible. Ending the
+// round with env.FinishRound covers the last point and honors the
+// configured deadline and aggregation mode. Package fluxtest checks all of
+// these contracts.
 type Rounder = fed.Rounder
 
 // Update is one participant's contribution to a round: the flattened
@@ -179,19 +183,13 @@ func ForEachParticipant(env *Env, fn func(s *Scratch, i int)) error {
 // cohort-aware counterpart of ForEachParticipant: a fleet-aware Rounder
 // resolves the round's cohort with env.Cohort(r), fans work out with
 // ForEachCohort(env, cohort, ...), writes results by slot, and reduces in
-// slot order; end-to-end per-participant seconds then go through
-// env.ResolveStragglers so the configured deadline and drop policy apply.
-// The determinism and cancellation contract is ForEachParticipant's.
+// slot order — typically by handing one SlotResult per slot to
+// env.FinishRound, which applies the configured deadline, drop policy and
+// aggregation mode. The determinism and cancellation contract is
+// ForEachParticipant's.
 func ForEachCohort(env *Env, cohort []int, fn func(s *Scratch, slot, participant int)) error {
 	return fed.ForEachOf(env, cohort, fn)
 }
-
-// StragglerOutcome is env.ResolveStragglers' verdict: which cohort slots
-// made the deadline. env.AddStragglerWait attributes the server's idle tail
-// at the deadline — the shortfall between the deadline and the kept
-// cohort's participant window — to the PhaseStraggler entry of a Rounder's
-// phase map when the drop policy cut someone.
-type StragglerOutcome = fed.StragglerOutcome
 
 // AggregationSpec selects the server's aggregation mode: synchronous (the
 // zero value), buffered-async, or semi-synchronous. See WithAggregation and
@@ -219,10 +217,10 @@ const (
 )
 
 // SlotResult is one cohort slot's finished work, handed to Env.FinishRound
-// by a Rounder running under an active AggregationSpec: the participant's
-// update, its modeled uplink and downlink payloads, and its per-phase
-// simulated seconds (whose sum is the participant's end-to-end round time,
-// used to order arrivals at the server).
+// at the end of a round: the participant's update, its modeled uplink and
+// downlink payloads, and its per-phase simulated seconds (whose sum is the
+// participant's end-to-end round time, checked against the straggler
+// deadline and used to order arrivals at an event-driven server).
 type SlotResult = fed.SlotResult
 
 // TuneAllExperts returns per-layer expert-id lists naming every expert of m
@@ -240,13 +238,14 @@ func ExtractUpdate(local *Model, participant int, weight float64, tuning [][]int
 // Aggregate applies FedAvg to the global model: every expert touched by at
 // least one update becomes the weight-averaged participant parameters;
 // untouched experts keep their values. It returns the number of distinct
-// experts updated — report it via env.ObserveAggregated.
+// experts updated. env.FinishRound aggregates for you; a Rounder that
+// reduces by hand calls this and reports the count via env.ObserveAggregated.
 func Aggregate(global *Model, updates []Update) int {
 	return fed.Aggregate(global, updates)
 }
 
-// UpdateBytes returns the FP32 wire size of an update — report the per-round
-// sum via env.ObserveUplink.
+// UpdateBytes returns the FP32 wire size of an update: a SlotResult's Bytes,
+// or, in a hand-rolled reduction, what to sum into env.ObserveUplink.
 func UpdateBytes(u Update) float64 { return fed.UpdateBytes(u) }
 
 // TrainFlops returns the arithmetic cost of local training over tokens

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math"
 	"sync"
 
 	flux "repro"
@@ -21,16 +20,18 @@ import (
 // exact behavior of the TCP wire protocol (broadcast, local SGD over the
 // round batch, upload, sample-count-weighted aggregation), which is what
 // makes it wire-capable: fluxtest asserts its in-process and TCP executions
-// converge bit-identically.
+// converge bit-identically. Each cohort slot's work becomes a SlotResult;
+// env.FinishRound does the server side exactly as for the built-in methods.
 type fedAvg struct{}
 
 func (fedAvg) Name() string { return "fedavg-lite" }
 
 func (fedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
 	tuning := flux.TuneAllExperts(env.Global)
-	var updates []flux.Update
-	var slowest, comm, uplink float64
-	for i := 0; i < env.Cfg.Participants; i++ {
+	down := flux.ModelBytes(env.Global) // the full-model broadcast
+	cohort := env.Cohort(round)
+	slots := make([]flux.SlotResult, len(cohort))
+	for slot, i := range cohort {
 		if env.Canceled() {
 			return nil
 		}
@@ -48,18 +49,16 @@ func (fedAvg) Round(env *flux.Env, round int) map[flux.Phase]float64 {
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
 		u := flux.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
-		updates = append(updates, u)
 		bytes := flux.UpdateBytes(u)
-		uplink += bytes
-		slowest = math.Max(slowest, dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)))
-		comm = math.Max(comm, dev.UplinkSeconds(bytes)+dev.UplinkSeconds(flux.ModelBytes(env.Global)))
+		slots[slot] = flux.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[flux.Phase]float64{
+				flux.PhaseFineTuning: dev.Seconds(flux.TrainFlops(env.Global, tokens, 1.0)),
+				flux.PhaseComm:       dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down),
+			},
+		}
 	}
-	env.ObserveAggregated(flux.Aggregate(env.Global, updates))
-	env.ObserveUplink(uplink)
-	return map[flux.Phase]float64{
-		flux.PhaseFineTuning: slowest,
-		flux.PhaseComm:       comm + uplink/env.Cfg.ServerBw,
-	}
+	return env.FinishRound(cohort, slots)
 }
 
 var (

@@ -83,7 +83,7 @@ func convergenceFigure(o Options, model, title string) *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"relative accuracy = score / sim-scale target ("+f2(datasetList()[0].TargetAcc)+" etc.); see EXPERIMENTS.md",
+		"relative accuracy = score / sim-scale target ("+f2(datasetList()[0].TargetAcc)+" etc.)",
 		"expected shape: FLUX converges fastest; FMQ unstable/plateaus; FMD stable but slow (offload I/O)")
 	return t
 }

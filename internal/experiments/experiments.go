@@ -3,9 +3,6 @@
 // experiment function is deterministic, returns a printable Table, and has a
 // "quick" mode used by the benchmark harness (fewer rounds/samples, same
 // workload shapes).
-//
-// See DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-versus-measured discussion.
 package experiments
 
 import (

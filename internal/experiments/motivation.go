@@ -49,7 +49,7 @@ func Table1(Options) *Table {
 	for _, e := range moe.Catalog() {
 		t.AddRow(e.Name, fmt.Sprintf("%d/%d", e.Layers, e.Experts), f2(e.Params), f2(e.SizeGB))
 	}
-	t.Notes = append(t.Notes, "reference metadata; runnable sim configs are scaled-down (see DESIGN.md)")
+	t.Notes = append(t.Notes, "reference metadata; runnable sim configs are scaled-down")
 	return t
 }
 
@@ -175,12 +175,11 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	for slot, i := range cohort {
 		rngs[slot] = env.RNG.Split(fmt.Sprintf("fig3/%d/%d", i, round))
 	}
-	updates := make([]fed.Update, len(cohort))
-	// Per-participant end-to-end seconds, priced with FMES's cost model, so
-	// a straggler deadline drops the same devices in both Figure-3 arms.
-	// Figure 3 itself reports accuracy only (the phase map stays a
-	// placeholder), but participation must match the comparison arm.
-	totals := make([]float64, len(cohort))
+	// Each slot reports its end-to-end seconds, priced with FMES's cost
+	// model, so a straggler deadline drops the same devices in both Figure-3
+	// arms. Figure 3 itself reports accuracy only, but participation must
+	// match the comparison arm.
+	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		mws := ws.Workspace()
@@ -211,46 +210,22 @@ func (keepMergedFMES) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 			}
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
-		updates[slot] = ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
+		u := ws.ExtractUpdate(local, i, float64(len(env.Shards[i])), tuning)
 
-		total := env.TotalExperts()
-		if total < 1 {
-			total = 1
+		tuneFrac := float64(tune) / float64(max(1, env.TotalExperts()))
+		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
+		bytes := fed.UpdateBytes(u)
+		down := float64(tune) * simtime.ExpertBytes(cfg)
+		total := res.Seconds(dev, cfg) + trainSec + dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(down)
+		slots[slot] = fed.SlotResult{
+			Update: u, Bytes: bytes, DownBytes: down,
+			Phases: map[simtime.Phase]float64{simtime.PhaseFineTuning: total},
 		}
-		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, float64(tune)/float64(total)))
-		bytes := fed.UpdateBytes(updates[slot])
-		totals[slot] = res.Seconds(dev, cfg) + trainSec +
-			dev.UplinkSeconds(bytes) + dev.DownlinkSeconds(float64(tune)*simtime.ExpertBytes(cfg))
 	})
 	if err != nil {
 		return nil
 	}
-	if env.Cfg.Agg.Active() {
-		// Event-driven aggregation: hand per-slot results to the server core.
-		// Figure 3 itself never runs this way, but the Rounder must honor the
-		// engine's aggregation contract like any other method.
-		slots := make([]fed.SlotResult, len(cohort))
-		for slot, i := range cohort {
-			_, tune := env.Budgets(i)
-			slots[slot] = fed.SlotResult{
-				Update:    updates[slot],
-				Bytes:     fed.UpdateBytes(updates[slot]),
-				DownBytes: float64(tune) * simtime.ExpertBytes(cfg),
-				Phases:    map[simtime.Phase]float64{simtime.PhaseFineTuning: totals[slot]},
-			}
-		}
-		return env.FinishRound(cohort, slots)
-	}
-	outcome := env.ResolveStragglers(totals)
-	kept := make([]fed.Update, 0, outcome.Kept)
-	for slot := range updates {
-		if outcome.Keep[slot] {
-			kept = append(kept, updates[slot])
-		}
-	}
-	fed.Aggregate(env.Global, kept)
-	env.ObserveCohort(len(cohort), outcome.Kept)
-	return map[simtime.Phase]float64{simtime.PhaseFineTuning: 1}
+	return env.FinishRound(cohort, slots)
 }
 
 // Figure5 reproduces the activation-frequency estimation error of 2/4/8-bit

@@ -244,10 +244,11 @@ func (e *Env) Context() context.Context {
 func (e *Env) Canceled() bool { return e.Context().Err() != nil }
 
 // ObserveUplink accumulates uploaded payload bytes for the current round.
-// It is goroutine-safe, but a deterministic Rounder must still reduce
-// per-participant byte counts in participant-index order before reporting —
-// float accumulation order is part of the bit-identity contract. The
-// built-ins sum after ForEachParticipant joins and call this once per round.
+// FinishRound reports traffic itself; this and the other Observe methods
+// serve Rounders that reduce by hand. It is goroutine-safe, but a
+// deterministic Rounder must still reduce per-participant byte counts in
+// participant-index order before reporting — float accumulation order is
+// part of the bit-identity contract — and call this once per round.
 func (e *Env) ObserveUplink(bytes float64) {
 	st := e.st()
 	st.mu.Lock()
@@ -257,8 +258,7 @@ func (e *Env) ObserveUplink(bytes float64) {
 
 // ObserveDownlink accumulates modeled broadcast payload bytes (server →
 // participants) for the current round. The ordered-reduction contract of
-// ObserveUplink applies: the built-ins sum per-participant downlink bytes in
-// cohort order after the pool joins and call this once per round.
+// ObserveUplink applies.
 func (e *Env) ObserveDownlink(bytes float64) {
 	st := e.st()
 	st.mu.Lock()
@@ -275,15 +275,15 @@ func (e *Env) ObserveAggregated(n int) {
 	st.mu.Unlock()
 }
 
-// ObserveCohort records the round's participation census: how many
-// participants were selected and how many completed within the straggler
-// deadline (equal when nothing was dropped). It is goroutine-safe.
-func (e *Env) ObserveCohort(selected, completed int) {
+// observeCohort records the round's participation census: how many
+// participants were selected, how many updates the server aggregated, and
+// how many the straggler deadline dropped. It is goroutine-safe.
+func (e *Env) observeCohort(selected, completed, dropped int) {
 	st := e.st()
 	st.mu.Lock()
 	st.obs.Selected = selected
 	st.obs.Completed = completed
-	st.obs.Dropped = selected - completed
+	st.obs.Dropped = dropped
 	st.mu.Unlock()
 }
 
@@ -560,9 +560,10 @@ func UpdateBytes(u Update) float64 {
 	return float64(params) * 4
 }
 
-// Rounder is a federated fine-tuning method: it executes one synchronous
-// round, mutating env.Global, and reports the simulated duration of the
-// round broken down by phase.
+// Rounder is a federated fine-tuning method: it executes one round,
+// mutating env.Global, and reports the simulated duration of the round
+// broken down by phase. The built-ins run their cohort's participants and
+// end with Env.FinishRound, which owns the server-side reduction.
 type Rounder interface {
 	Name() string
 	Round(env *Env, r int) map[simtime.Phase]float64
@@ -570,57 +571,21 @@ type Rounder interface {
 
 // Run drives a Rounder until the evaluation score reaches target or
 // MaxRounds elapse, recording a convergence curve against simulated time.
-// It returns the tracker and the final clock.
+// It returns the tracker and the final clock. This is the experiment
+// harness's driver; the SDK's Experiment.Run adds cancellation, events and
+// the observability sinks.
 func Run(env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock) {
-	tr, clock, _ := RunContext(context.Background(), env, m, target)
-	return tr, clock
-}
-
-// RunContext is Run with cancellation: the context is attached to the
-// environment (so Rounders can abandon a round early) and checked between
-// rounds. On cancellation it returns the curve recorded so far along with
-// the context's error.
-func RunContext(ctx context.Context, env *Env, m Rounder, target float64) (*metrics.Tracker, *simtime.Clock, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	env.SetContext(ctx)
 	clock := simtime.NewClock()
 	tr := &metrics.Tracker{Target: env.Profile.MetricName}
-	score := env.Evaluate()
-	tr.Record(0, clock.Hours(), score)
-	rec := env.Obs() // nil when observability is off; one check per run/round
-	if rec != nil {
-		rec.BeginRun(obs.RunMeta{Method: m.Name(), Dataset: env.Profile.Name, Participants: env.Cfg.Participants})
-		rec.EndRound(obs.Round{Round: 0, Score: score})
-	}
+	tr.Record(0, clock.Hours(), env.Evaluate())
 	for r := 0; r < env.Cfg.MaxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return tr, clock, err
-		}
-		startSec := clock.Seconds()
-		phases := m.Round(env, r)
-		if err := ctx.Err(); err != nil {
-			// The round was abandoned mid-way; its partial work is discarded.
-			return tr, clock, err
-		}
-		clock.AdvanceAll(phases) // sorted: simulated time accumulates bit-reproducibly
-		o := env.TakeRoundObs()  // drained every round; drivers without a recorder discard it
+		clock.AdvanceAll(m.Round(env, r)) // sorted: simulated time accumulates bit-reproducibly
+		env.TakeRoundObs()                // drained so the per-round counters never accumulate across rounds
 		score := env.Evaluate()
 		tr.Record(r+1, clock.Hours(), score)
-		if rec != nil {
-			rec.EndRound(obs.Round{
-				Round: r + 1, StartSec: startSec, EndSec: clock.Seconds(), Score: score,
-				UplinkBytes: o.UplinkBytes, DownlinkBytes: o.DownlinkBytes,
-				ExpertsTouched: o.ExpertsTouched,
-				Selected:       o.Selected, Completed: o.Completed, Dropped: o.Dropped,
-				Pending: o.Pending, ModelVersion: o.ModelVersion, Stale: o.Stale,
-				Phases: phaseStrings(phases),
-			})
-		}
 		if target > 0 && score >= target {
 			break
 		}
 	}
-	return tr, clock, nil
+	return tr, clock
 }

@@ -1,10 +1,10 @@
 // Cohort selection and straggler semantics.
 //
 // The fleet subsystem (internal/fleet) decides WHO runs a round and WHEN the
-// server stops waiting; this file is the engine-side glue every Rounder uses:
-// Cohort resolves the round's participant set, ForEachOf fans work over it,
-// and ResolveStragglers applies the deadline to the per-participant times a
-// Rounder measured. With an inactive fleet spec all of it degrades to the
+// server stops waiting; this file is the engine-side glue: Cohort resolves
+// the round's participant set, ForEachOf fans a Rounder's work over it, and
+// resolveStragglers applies the deadline to the per-participant times
+// FinishRound's synchronous mode receives. With an inactive fleet spec all of it degrades to the
 // engine's historical behavior — full participation, no deadline — and the
 // results are bit-identical to runs predating the subsystem.
 package fed
@@ -40,20 +40,20 @@ func (e *Env) Deadline() (sec float64, drop bool) {
 	return e.Cfg.Fleet.Deadline, e.Cfg.Fleet.Drop
 }
 
-// StragglerOutcome is the deadline resolution of one round.
-type StragglerOutcome struct {
-	// Keep flags, per cohort slot, whether that participant's update is
+// stragglerOutcome is the deadline resolution of one round.
+type stragglerOutcome struct {
+	// keep flags, per cohort slot, whether that participant's update is
 	// aggregated. All true without a deadline or under the wait policy.
-	Keep []bool
-	// Kept is the number of true entries in Keep.
-	Kept int
+	keep []bool
+	// kept is the number of true entries in keep.
+	kept int
 }
 
-// Dropped reports how many cohort slots missed the deadline.
-func (o StragglerOutcome) Dropped() int { return len(o.Keep) - o.Kept }
+// dropped reports how many cohort slots missed the deadline.
+func (o stragglerOutcome) dropped() int { return len(o.keep) - o.kept }
 
-// ResolveStragglers applies the configured deadline to the per-cohort-slot
-// end-to-end round seconds a Rounder measured. Semantics:
+// resolveStragglers applies the configured deadline to the per-cohort-slot
+// end-to-end round seconds of a synchronous round. Semantics:
 //
 //   - No deadline, or a deadline with the wait policy: every participant is
 //     kept and the deadline changes nothing (it is observational).
@@ -61,16 +61,16 @@ func (o StragglerOutcome) Dropped() int { return len(o.Keep) - o.Kept }
 //     dropped. The server never proceeds empty-handed — if everyone would
 //     miss the deadline it waits for the single fastest participant.
 //
-// The reduction is deterministic: Keep depends only on the measured totals,
+// The reduction is deterministic: keep depends only on the measured totals,
 // never on worker scheduling.
-func (e *Env) ResolveStragglers(totals []float64) StragglerOutcome {
-	out := StragglerOutcome{Keep: make([]bool, len(totals))}
+func (e *Env) resolveStragglers(totals []float64) stragglerOutcome {
+	out := stragglerOutcome{keep: make([]bool, len(totals))}
 	deadline, drop := e.Deadline()
 	if deadline <= 0 || !drop {
-		for i := range out.Keep {
-			out.Keep[i] = true
+		for i := range out.keep {
+			out.keep[i] = true
 		}
-		out.Kept = len(totals)
+		out.kept = len(totals)
 		return out
 	}
 	fastest := -1
@@ -79,21 +79,21 @@ func (e *Env) ResolveStragglers(totals []float64) StragglerOutcome {
 			fastest = i
 		}
 		if t <= deadline {
-			out.Keep[i] = true
-			out.Kept++
+			out.keep[i] = true
+			out.kept++
 		}
 	}
-	if out.Kept == 0 && fastest >= 0 {
+	if out.kept == 0 && fastest >= 0 {
 		// A synchronous round cannot aggregate nothing: wait (past the
 		// deadline) for the single fastest update.
-		out.Keep[fastest] = true
-		out.Kept = 1
+		out.keep[fastest] = true
+		out.kept = 1
 	}
 	return out
 }
 
-// AddStragglerWait attributes the server's idle tail at the deadline to the
-// straggler phase of a Rounder's phase map. participantSec is the kept
+// addStragglerWait attributes the server's idle tail at the deadline to the
+// straggler phase of a round's phase map. participantSec is the kept
 // cohort's barriered participant window — the sum of per-phase maxima over
 // kept participants, excluding server-side aggregation time. When the drop
 // policy cut at least one participant, the server proceeded at the deadline,
@@ -102,15 +102,14 @@ func (e *Env) ResolveStragglers(totals []float64) StragglerOutcome {
 // deadline — per-participant totals decide who is dropped, and the maxima of
 // different phases may come from different kept participants — in which case
 // no idle time is added.
-func (e *Env) AddStragglerWait(phases map[simtime.Phase]float64, outcome StragglerOutcome, participantSec float64) {
+func (e *Env) addStragglerWait(phases map[simtime.Phase]float64, outcome stragglerOutcome, participantSec float64) {
 	deadline, drop := e.Deadline()
-	if deadline <= 0 || !drop || outcome.Dropped() == 0 {
+	if deadline <= 0 || !drop || outcome.dropped() == 0 {
 		return
 	}
 	if wait := deadline - participantSec; wait > 0 {
-		// Accumulate: a Rounder may already have straggler time in the map
-		// (e.g. a retry or a phase it attributes there itself); assignment
-		// would silently clobber it.
+		// Accumulate: a participant may already report straggler time in
+		// its own phases; assignment would silently clobber it.
 		phases[simtime.PhaseStraggler] += wait
 	}
 }

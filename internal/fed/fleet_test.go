@@ -44,46 +44,46 @@ func TestCohortSelected(t *testing.T) {
 
 func TestResolveStragglersNoDeadline(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{})
-	out := env.ResolveStragglers([]float64{5, 100, 2})
-	if out.Kept != 3 || out.Dropped() != 0 {
+	out := env.resolveStragglers([]float64{5, 100, 2})
+	if out.kept != 3 || out.dropped() != 0 {
 		t.Fatalf("no deadline must keep everyone: %+v", out)
 	}
 }
 
 func TestResolveStragglersWaitPolicy(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: false})
-	out := env.ResolveStragglers([]float64{5, 100, 2})
-	if out.Kept != 3 || out.Dropped() != 0 {
+	out := env.resolveStragglers([]float64{5, 100, 2})
+	if out.kept != 3 || out.dropped() != 0 {
 		t.Fatalf("wait policy must keep everyone: %+v", out)
 	}
 }
 
 func TestResolveStragglersDrop(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	out := env.ResolveStragglers([]float64{5, 100, 2, 11})
-	if !reflect.DeepEqual(out.Keep, []bool{true, false, true, false}) {
-		t.Fatalf("keep mask %v", out.Keep)
+	out := env.resolveStragglers([]float64{5, 100, 2, 11})
+	if !reflect.DeepEqual(out.keep, []bool{true, false, true, false}) {
+		t.Fatalf("keep mask %v", out.keep)
 	}
-	if out.Kept != 2 || out.Dropped() != 2 {
-		t.Fatalf("kept %d, want 2", out.Kept)
+	if out.kept != 2 || out.dropped() != 2 {
+		t.Fatalf("kept %d, want 2", out.kept)
 	}
 }
 
 func TestResolveStragglersAllMissKeepsFastest(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	out := env.ResolveStragglers([]float64{50, 30, 40})
-	if !reflect.DeepEqual(out.Keep, []bool{false, true, false}) {
-		t.Fatalf("keep mask %v, want only the fastest", out.Keep)
+	out := env.resolveStragglers([]float64{50, 30, 40})
+	if !reflect.DeepEqual(out.keep, []bool{false, true, false}) {
+		t.Fatalf("keep mask %v, want only the fastest", out.keep)
 	}
-	if out.Kept != 1 {
+	if out.kept != 1 {
 		t.Fatalf("outcome %+v", out)
 	}
 }
 
 func TestResolveStragglersAllWithinDeadline(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	out := env.ResolveStragglers([]float64{5, 7})
-	if out.Kept != 2 || out.Dropped() != 0 {
+	out := env.resolveStragglers([]float64{5, 7})
+	if out.kept != 2 || out.dropped() != 0 {
 		t.Fatalf("nobody within the deadline may be dropped: %+v", out)
 	}
 }
@@ -95,19 +95,19 @@ func TestResolveStragglersAllWithinDeadline(t *testing.T) {
 // policy, with no drops, or when the window already exceeds the deadline.
 func TestAddStragglerWait(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: true})
-	outcome := env.ResolveStragglers([]float64{5, 100}) // one dropped
+	outcome := env.resolveStragglers([]float64{5, 100}) // one dropped
 
 	phases := map[simtime.Phase]float64{simtime.PhaseFineTuning: 6}
-	env.AddStragglerWait(phases, outcome, 6)
+	env.addStragglerWait(phases, outcome, 6)
 	if got := phases[simtime.PhaseStraggler]; got != 4 {
 		t.Fatalf("idle %v, want deadline(10) - window(6) = 4", got)
 	}
 
-	// Regression: a Rounder may already have straggler time in the map (a
-	// retry, or a phase it attributes there itself). AddStragglerWait must
+	// Regression: the window may already carry straggler time (a phase a
+	// participant attributes there itself). addStragglerWait must
 	// accumulate onto it, not clobber it.
 	phases = map[simtime.Phase]float64{simtime.PhaseStraggler: 3, simtime.PhaseFineTuning: 6}
-	env.AddStragglerWait(phases, outcome, 6)
+	env.addStragglerWait(phases, outcome, 6)
 	if got := phases[simtime.PhaseStraggler]; got != 7 {
 		t.Fatalf("idle %v, want pre-existing(3) + shortfall(4) = 7 (clobbered, not accumulated?)", got)
 	}
@@ -115,14 +115,14 @@ func TestAddStragglerWait(t *testing.T) {
 	// Window past the deadline: drop decisions are per-participant, the
 	// barriered window may still overshoot — no negative idle time.
 	phases = map[simtime.Phase]float64{}
-	env.AddStragglerWait(phases, outcome, 12)
+	env.addStragglerWait(phases, outcome, 12)
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
 		t.Fatalf("window past deadline must add no idle time: %v", phases)
 	}
 
 	// Nobody dropped: the server proceeded when the last update arrived.
 	phases = map[simtime.Phase]float64{}
-	env.AddStragglerWait(phases, env.ResolveStragglers([]float64{5, 7}), 7)
+	env.addStragglerWait(phases, env.resolveStragglers([]float64{5, 7}), 7)
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
 		t.Fatalf("no drop must add no idle time: %v", phases)
 	}
@@ -130,7 +130,7 @@ func TestAddStragglerWait(t *testing.T) {
 	// Wait policy: observational deadline, never idle time.
 	waitEnv := fleetEnv(t, fleet.Spec{Deadline: 10, Drop: false})
 	phases = map[simtime.Phase]float64{}
-	waitEnv.AddStragglerWait(phases, waitEnv.ResolveStragglers([]float64{5, 100}), 6)
+	waitEnv.addStragglerWait(phases, waitEnv.resolveStragglers([]float64{5, 100}), 6)
 	if _, ok := phases[simtime.PhaseStraggler]; ok {
 		t.Fatalf("wait policy must add no idle time: %v", phases)
 	}
@@ -138,7 +138,7 @@ func TestAddStragglerWait(t *testing.T) {
 
 func TestObserveCohort(t *testing.T) {
 	env := fleetEnv(t, fleet.Spec{})
-	env.ObserveCohort(10, 8)
+	env.observeCohort(10, 8, 2)
 	obs := env.TakeRoundObs()
 	if obs.Selected != 10 || obs.Completed != 8 || obs.Dropped != 2 {
 		t.Fatalf("census %+v", obs)

@@ -1,10 +1,17 @@
-// Event-driven server core: buffered-asynchronous and semi-synchronous
-// aggregation.
+// The server's round reduction: synchronous, buffered-asynchronous and
+// semi-synchronous aggregation.
 //
-// The synchronous engine is a barrier loop — every round waits for the whole
-// cohort (or its deadline) before aggregating once. This file adds the two
-// production-shaped alternatives behind AggSpec:
+// Every Rounder ends the same way: after its participant fan-out joins it
+// hands one SlotResult per cohort slot to Env.FinishRound and returns the
+// phase map it gets back. FinishRound owns everything server-side —
+// straggler resolution, aggregation order, traffic and census accounting,
+// per-participant observations and the round's simulated time — so the
+// methods differ only in what a participant does. AggSpec picks the
+// discipline:
 //
+//   - Sync (the default): the barrier round. The server waits for the whole
+//     cohort, or until the fleet deadline under the drop policy, and
+//     aggregates the kept updates once.
 //   - Buffered-async ("async", FedBuff-style): the server aggregates as soon
 //     as K updates sit in its buffer, tagging the global model with a version
 //     that increments per flush. Updates born against an older version are
@@ -16,19 +23,12 @@
 //     on-time arrivals — and late arrivals carry into the next round's buffer
 //     instead of being dropped.
 //
-// The driver's round loop is unchanged: a Rounder still runs the cohort and
-// returns a phase map. What moves here is the *reduction*: when the spec is
-// active, a Rounder hands its per-slot results to Env.FinishRound instead of
-// running its own barrier reduction, and the core owns buffering, versioning,
-// staleness weighting, aggregation order, and the round's simulated time.
-// When the spec is inactive (zero value or explicit "sync"), FinishRound is
-// never called and every Rounder's historical reduction runs untouched —
-// synchronous results stay bit-identical to the pre-core engine.
-//
-// Determinism: arrivals are ordered by (simulated total seconds, slot), both
-// deterministic in the seed; all floating-point folding walks that order or
-// sorted phase keys. Carried updates are deep-copied out of the worker
-// scratch arena (whose buffers are invalidated by the next round's pool run).
+// Determinism: a slot's end-to-end time is a sorted-key fold of its phases;
+// arrivals are ordered by (that time, slot) and the synchronous aggregation
+// walks slot order, all deterministic in the seed. Every other float fold
+// walks slot order, arrival order or sorted phase keys. Carried updates are
+// deep-copied out of the worker scratch arena (whose buffers are invalidated
+// by the next round's pool run).
 package fed
 
 import (
@@ -69,9 +69,8 @@ type AggSpec struct {
 	StalenessAlpha float64 `json:"staleness_alpha,omitempty"`
 }
 
-// Active reports whether the spec changes engine behavior at all — that is,
-// whether rounds go through the event-driven core instead of the Rounders'
-// synchronous barrier reduction.
+// Active reports whether the spec selects an event-driven mode (async or
+// semisync) instead of the synchronous barrier round.
 func (a AggSpec) Active() bool {
 	return a.Mode == ModeAsync || a.Mode == ModeSemiSync
 }
@@ -106,13 +105,12 @@ func (a AggSpec) bufferFor(n int) int {
 	return k
 }
 
-// SlotResult is one cohort slot's contribution to an event-driven round: the
+// SlotResult is one cohort slot's contribution to a round: the
 // participant's update, its modeled wire traffic, and its per-phase simulated
-// seconds. A Rounder running under an active AggSpec builds one per slot
-// (in place of its synchronous barrier reduction) and hands the cohort to
+// seconds. A Rounder builds one per slot and hands the cohort to
 // Env.FinishRound. The phase map must cover the participant's full
-// end-to-end round time — its sorted-key sum is the arrival time that orders
-// the server's event queue.
+// end-to-end round time — its sorted-key sum is what the straggler deadline
+// is checked against and what orders the event-driven server's arrivals.
 type SlotResult struct {
 	Update Update
 	// Bytes is the uplink payload of Update (what the participant uploads).
@@ -267,12 +265,21 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 	}
 }
 
-// FinishRound is the event-driven replacement for a Rounder's synchronous
-// barrier reduction. A Rounder whose environment has an active AggSpec
-// (env.Cfg.Agg.Active()) calls it after the participant fan-out joins,
-// handing one SlotResult per cohort slot; FinishRound owns aggregation and
-// returns the round's phase map. Behavior by mode:
+// FinishRound is the server's round reduction, shared by every Rounder: after
+// the participant fan-out joins, a Rounder hands it one SlotResult per cohort
+// slot and returns the phase map it gives back. FinishRound owns
+// aggregation, the round's simulated time and its observability. Behavior by
+// mode:
 //
+//   - sync (the default): the fleet deadline resolves stragglers on each
+//     slot's end-to-end seconds — under the drop policy slots past it are
+//     cut, but if every slot is late the fastest is kept. The kept updates
+//     aggregate once, in slot order. The round lasts the kept slots' window
+//     (per-phase maxima; a phase any kept slot reports stays, even at zero)
+//     plus server aggregation seconds under the communication phase. When
+//     the drop policy cut someone, the server proceeded at the deadline, so
+//     the shortfall between the deadline and the window is idle time under
+//     the straggler-wait phase.
 //   - async: arrivals are ordered by simulated completion time and buffered;
 //     every K buffered updates are flushed (staleness-discounted FedAvg, then
 //     version++). Leftovers carry into the next round's buffer. The round's
@@ -287,14 +294,14 @@ func (e *Env) flush(buf []pendingUpdate, cohortN int, sr *serverRound, alpha flo
 //     nothing is flushable the server waits past the clock for the single
 //     fastest arrival.
 //
-// It also reports the round's observability: uplink/downlink traffic in slot
-// order, the census (Selected = cohort, Completed = aggregated, Dropped = 0 —
-// these modes never drop), and the model version, stale-update count, and
-// carry-over buffer size.
+// It also reports the round's observability: uplink traffic of every update
+// the server received (all slots but the dropped ones), downlink traffic of
+// the whole cohort (the broadcast precedes the deadline), the census
+// (Selected = cohort, Completed = updates aggregated, Dropped = slots the
+// deadline cut — always 0 in the event-driven modes), one participant record
+// per slot, and, in the event-driven modes, the model version, stale-update
+// count and carry-over buffer size.
 func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]float64 {
-	if !e.Cfg.Agg.Active() {
-		panic("fed: FinishRound called without an active aggregation spec")
-	}
 	rec := e.Obs() // fetched before taking st.mu (Obs locks it too)
 	st := e.st()
 	st.mu.Lock()
@@ -303,40 +310,37 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 	st.pending = nil
 	st.mu.Unlock()
 
-	// Traffic is observed where it happens: every cohort member receives the
-	// broadcast and uploads its update this round, whether or not the server
-	// consumes it before the round closes. Folded in slot order.
-	var upBytes, downBytes float64
-	for _, p := range results {
-		upBytes += p.Bytes
-		downBytes += p.DownBytes
-	}
-
-	// Order arrivals by simulated completion time (ties by slot): the
-	// server's event queue. Totals come from sorted-key folds, so the order
-	// is deterministic in the seed at every worker count.
+	// Each slot's end-to-end seconds, from sorted-key folds so they are
+	// deterministic in the seed at every worker count. Only the synchronous
+	// drop policy cuts anyone: Validate rejects drop in the event-driven
+	// modes, which keep every slot here.
 	totals := make([]float64, len(results))
 	for slot, p := range results {
 		totals[slot] = sortedPhaseSum(p.Phases)
 	}
-	order := make([]int, len(results))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if totals[order[a]] != totals[order[b]] {
-			return totals[order[a]] < totals[order[b]]
+	outcome := e.resolveStragglers(totals)
+
+	// Traffic is observed where it happens: every cohort member receives the
+	// broadcast, and every kept member's upload reaches the server, whether
+	// or not the server consumes it before the round closes. Folded in slot
+	// order.
+	var upBytes, downBytes float64
+	for slot, p := range results {
+		if outcome.keep[slot] {
+			upBytes += p.Bytes
 		}
-		return order[a] < order[b]
-	})
+		downBytes += p.DownBytes
+	}
 
 	var phases map[simtime.Phase]float64
 	var leftovers []pendingUpdate
 	switch e.Cfg.Agg.Mode {
 	case ModeAsync:
-		phases, leftovers = e.finishAsync(order, totals, results, carried, &sr)
+		phases, leftovers = e.finishAsync(arrivalOrder(totals), totals, results, carried, &sr)
 	case ModeSemiSync:
-		phases, leftovers = e.finishSemiSync(order, totals, results, carried, &sr)
+		phases, leftovers = e.finishSemiSync(arrivalOrder(totals), totals, results, carried, &sr)
+	default:
+		phases = e.finishSync(results, outcome, upBytes, &sr)
 	}
 
 	if rec != nil {
@@ -362,7 +366,7 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 				Index: id, Device: e.Devices[id].Name,
 				Phases:      phaseStrings(p.Phases),
 				UplinkBytes: p.Bytes, DownlinkBytes: p.DownBytes,
-				Staleness: freshStale[id], Pending: pendingSet[id],
+				Staleness: freshStale[id], Dropped: !outcome.keep[slot], Pending: pendingSet[id],
 			})
 		}
 		for _, f := range sr.flushes {
@@ -370,20 +374,60 @@ func (e *Env) FinishRound(cohort []int, results []SlotResult) map[simtime.Phase]
 		}
 	}
 
+	e.observeCohort(len(cohort), sr.completed, outcome.dropped())
 	st.mu.Lock()
 	st.version = sr.version
 	st.pending = leftovers
 	st.obs.UplinkBytes += upBytes
 	st.obs.DownlinkBytes += downBytes
 	st.obs.ExpertsTouched = sr.experts
-	st.obs.Selected = len(cohort)
-	st.obs.Completed = sr.completed
-	st.obs.Dropped = 0
 	st.obs.ModelVersion = sr.version
 	st.obs.Stale = sr.stale
 	st.obs.Pending = len(leftovers)
 	st.mu.Unlock()
 	return phases
+}
+
+// arrivalOrder returns the slots ordered by simulated completion time, ties
+// by slot: the event-driven server's event queue.
+func arrivalOrder(totals []float64) []int {
+	order := make([]int, len(totals))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		if totals[order[a]] != totals[order[b]] {
+			return totals[order[a]] < totals[order[b]]
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
+// finishSync is the barrier round: the kept updates aggregate once, in slot
+// order, and the round lasts the kept slots' window of per-phase maxima,
+// padded to the deadline when the drop policy cut someone, plus the server's
+// aggregation seconds for the uplink it received.
+func (e *Env) finishSync(results []SlotResult, outcome stragglerOutcome, upBytes float64, sr *serverRound) map[simtime.Phase]float64 {
+	updates := make([]Update, 0, outcome.kept)
+	window := make(map[simtime.Phase]float64)
+	for slot, p := range results {
+		if !outcome.keep[slot] {
+			continue
+		}
+		updates = append(updates, p.Update)
+		//fluxvet:unordered per-phase max fold; max is order-independent
+		for ph, v := range p.Phases {
+			if cur, ok := window[ph]; !ok || v > cur {
+				window[ph] = v
+			}
+		}
+	}
+	sr.experts = Aggregate(e.Global, updates)
+	sr.completed = outcome.kept
+	e.addStragglerWait(window, outcome, sortedPhaseSum(window))
+	window[simtime.PhaseComm] += upBytes / e.Cfg.ServerBw
+	return window
 }
 
 // finishAsync walks the arrival order, buffering updates and flushing every

@@ -1,10 +1,14 @@
 package fed
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/moe"
 	"repro/internal/simtime"
+	"repro/internal/tensor"
 )
 
 func TestAggSpecValidate(t *testing.T) {
@@ -78,10 +82,11 @@ func TestStaleScale(t *testing.T) {
 	}
 }
 
-// asyncEnv hand-builds an environment for the event-driven core. Slot updates
-// carry no expert parameters, so aggregation is a no-op on the (nil) model and
-// the tests pin the accounting: versions, staleness, carry-over, phase time.
-func asyncEnv(t *testing.T, spec AggSpec, fl fleet.Spec) *Env {
+// serverEnv hand-builds an environment for FinishRound. Unless a test attaches
+// a model, slot updates carry no expert parameters, so aggregation is a no-op
+// on the (nil) model and the tests pin the accounting: versions, staleness,
+// carry-over, phase time.
+func serverEnv(t *testing.T, spec AggSpec, fl fleet.Spec) *Env {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Participants = 4
@@ -102,7 +107,7 @@ func slot(participant int, sec float64) SlotResult {
 }
 
 func TestFinishRoundAsync(t *testing.T) {
-	env := asyncEnv(t, AggSpec{Mode: ModeAsync, BufferK: 2, StalenessAlpha: 1}, fleet.Spec{})
+	env := serverEnv(t, AggSpec{Mode: ModeAsync, BufferK: 2, StalenessAlpha: 1}, fleet.Spec{})
 	cohort := []int{0, 1, 2, 3}
 
 	// Arrival order by time: 1 (10s), 3 (20s), 0 (30s), 2 (40s). K=2 flushes
@@ -127,7 +132,7 @@ func TestFinishRoundAsync(t *testing.T) {
 }
 
 func TestFinishRoundAsyncCarryOver(t *testing.T) {
-	env := asyncEnv(t, AggSpec{Mode: ModeAsync, BufferK: 2}, fleet.Spec{})
+	env := serverEnv(t, AggSpec{Mode: ModeAsync, BufferK: 2}, fleet.Spec{})
 	cohort := []int{0, 1, 2}
 
 	// Three arrivals, K=2: one flush, one leftover carried into round 2.
@@ -154,7 +159,7 @@ func TestFinishRoundAsyncCarryOver(t *testing.T) {
 func TestFinishRoundAsyncForcedFlush(t *testing.T) {
 	// A buffer that never fills still flushes once at the last arrival, so
 	// every round advances the model and observers always see aggregation.
-	env := asyncEnv(t, AggSpec{Mode: ModeAsync, BufferK: 4}, fleet.Spec{})
+	env := serverEnv(t, AggSpec{Mode: ModeAsync, BufferK: 4}, fleet.Spec{})
 	phases := env.FinishRound([]int{0, 1}, []SlotResult{slot(0, 10), slot(1, 20)})
 	obs := env.TakeRoundObs()
 	if obs.ModelVersion != 1 || obs.Completed != 2 || obs.Pending != 0 {
@@ -166,7 +171,7 @@ func TestFinishRoundAsyncForcedFlush(t *testing.T) {
 }
 
 func TestFinishRoundSemiSync(t *testing.T) {
-	env := asyncEnv(t, AggSpec{Mode: ModeSemiSync, StalenessAlpha: 1}, fleet.Spec{Deadline: 25})
+	env := serverEnv(t, AggSpec{Mode: ModeSemiSync, StalenessAlpha: 1}, fleet.Spec{Deadline: 25})
 	cohort := []int{0, 1, 2}
 
 	// Clock 25: slots 0 (10s) and 1 (20s) are on time, slot 2 (40s) is late.
@@ -194,7 +199,7 @@ func TestFinishRoundSemiSync(t *testing.T) {
 func TestFinishRoundSemiSyncAllLate(t *testing.T) {
 	// Nothing flushable at the clock: the server waits past it for the single
 	// fastest arrival; the rest carry over.
-	env := asyncEnv(t, AggSpec{Mode: ModeSemiSync}, fleet.Spec{Deadline: 5})
+	env := serverEnv(t, AggSpec{Mode: ModeSemiSync}, fleet.Spec{Deadline: 5})
 	phases := env.FinishRound([]int{0, 1}, []SlotResult{slot(0, 30), slot(1, 10)})
 	obs := env.TakeRoundObs()
 	if obs.Completed != 1 || obs.Pending != 1 {
@@ -209,7 +214,7 @@ func TestFinishRoundSemiSyncAllLate(t *testing.T) {
 }
 
 func TestFinishRoundObservesTraffic(t *testing.T) {
-	env := asyncEnv(t, AggSpec{Mode: ModeAsync, BufferK: 1}, fleet.Spec{})
+	env := serverEnv(t, AggSpec{Mode: ModeAsync, BufferK: 1}, fleet.Spec{})
 	results := []SlotResult{slot(0, 10), slot(1, 20)}
 	results[0].Bytes, results[0].DownBytes = 100, 400
 	results[1].Bytes, results[1].DownBytes = 300, 400
@@ -223,12 +228,93 @@ func TestFinishRoundObservesTraffic(t *testing.T) {
 	}
 }
 
-func TestFinishRoundSyncPanics(t *testing.T) {
-	env := asyncEnv(t, AggSpec{}, fleet.Spec{})
-	defer func() {
-		if recover() == nil {
-			t.Error("FinishRound without an active aggregation spec must panic")
-		}
-	}()
-	env.FinishRound([]int{0}, []SlotResult{slot(0, 1)})
+// TestFinishRoundSync pins the synchronous barrier reduction: straggler
+// resolution, slot-order aggregation of the kept updates, traffic and census
+// accounting, and the round window with its deadline padding.
+func TestFinishRoundSync(t *testing.T) {
+	// Adding 5 or 3 to ±2^60 is lost to rounding, so the aggregated mean
+	// tells which updates were folded and in which order: slot order over
+	// all four gives 3/4, arrival order (slots 2, 3, 0, 1) would give 5/4.
+	big := math.Ldexp(1, 60)
+	values := []float64{big, 5, -big, 3}
+	phases := []map[simtime.Phase]float64{
+		{simtime.PhaseFineTuning: 12, simtime.PhaseComm: 3, simtime.PhaseMerging: 0},                           // 15s
+		{simtime.PhaseFineTuning: 30, simtime.PhaseComm: 10, simtime.PhaseMerging: 0},                          // 40s
+		{simtime.PhaseFineTuning: 4, simtime.PhaseComm: 4, simtime.PhaseMerging: 0},                            // 8s
+		{simtime.PhaseFineTuning: 6, simtime.PhaseComm: 6, simtime.PhaseMerging: 0, simtime.PhaseProfiling: 2}, // 14s
+	}
+	base := moe.MustNew(moe.SimConfigLLaMATrain(), tensor.Named("sync-probe"))
+	width := len(base.ExpertAt(0, 0).FlattenTo(nil))
+
+	cases := []struct {
+		name string
+		fl   fleet.Spec
+		kept []int // slots aggregated, in slot order
+		// window is the kept slots' per-phase maxima (before server seconds).
+		window map[simtime.Phase]float64
+		wait   float64 // straggler-wait: deadline minus the window, when a drop cut someone
+	}{
+		{"no deadline", fleet.Spec{}, []int{0, 1, 2, 3},
+			map[simtime.Phase]float64{simtime.PhaseFineTuning: 30, simtime.PhaseComm: 10, simtime.PhaseMerging: 0, simtime.PhaseProfiling: 2}, 0},
+		{"wait policy", fleet.Spec{Deadline: 25}, []int{0, 1, 2, 3},
+			map[simtime.Phase]float64{simtime.PhaseFineTuning: 30, simtime.PhaseComm: 10, simtime.PhaseMerging: 0, simtime.PhaseProfiling: 2}, 0},
+		{"drop cuts one", fleet.Spec{Deadline: 25, Drop: true}, []int{0, 2, 3},
+			map[simtime.Phase]float64{simtime.PhaseFineTuning: 12, simtime.PhaseComm: 6, simtime.PhaseMerging: 0, simtime.PhaseProfiling: 2}, 25 - 20},
+		{"all late keeps fastest", fleet.Spec{Deadline: 5, Drop: true}, []int{2},
+			map[simtime.Phase]float64{simtime.PhaseFineTuning: 4, simtime.PhaseComm: 4, simtime.PhaseMerging: 0}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := serverEnv(t, AggSpec{}, tc.fl)
+			env.Global = base.Clone()
+			results := make([]SlotResult, len(values))
+			for slot, v := range values {
+				flat := make([]float64, width)
+				for i := range flat {
+					flat[i] = v
+				}
+				results[slot] = SlotResult{
+					Update:    Update{Participant: slot, Weight: 1, Experts: map[ExpertKey][]float64{{Layer: 0, Expert: 0}: flat}},
+					Bytes:     float64(1000 * (slot + 1)),
+					DownBytes: 500,
+					Phases:    phases[slot],
+				}
+			}
+			got := env.FinishRound([]int{0, 1, 2, 3}, results)
+			obs := env.TakeRoundObs()
+
+			var sum, up float64
+			for _, slot := range tc.kept {
+				sum += values[slot]
+				up += results[slot].Bytes
+			}
+			if mean := sum * (1 / float64(len(tc.kept))); env.Global.ExpertAt(0, 0).FlattenTo(nil)[0] != mean {
+				t.Errorf("aggregated %v, want the slot-order mean %v of slots %v",
+					env.Global.ExpertAt(0, 0).FlattenTo(nil)[0], mean, tc.kept)
+			}
+			if obs.ExpertsTouched != 1 {
+				t.Errorf("experts touched %d, want 1", obs.ExpertsTouched)
+			}
+			if obs.UplinkBytes != up || obs.DownlinkBytes != 2000 {
+				t.Errorf("traffic up %v down %v, want kept uplink %v and the whole cohort's downlink 2000",
+					obs.UplinkBytes, obs.DownlinkBytes, up)
+			}
+			if obs.Selected != 4 || obs.Completed != len(tc.kept) || obs.Dropped != 4-len(tc.kept) {
+				t.Errorf("census %d/%d/%d, want 4 selected, %d completed, %d dropped",
+					obs.Selected, obs.Completed, obs.Dropped, len(tc.kept), 4-len(tc.kept))
+			}
+			if obs.ModelVersion != 0 || obs.Stale != 0 || obs.Pending != 0 {
+				t.Errorf("sync rounds have no versions, staleness or carry-over: %+v", obs)
+			}
+
+			want := tc.window // each case runs once, so it may be extended in place
+			want[simtime.PhaseComm] += up / env.Cfg.ServerBw
+			if tc.wait > 0 {
+				want[simtime.PhaseStraggler] = tc.wait
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("phases %v, want %v", got, want)
+			}
+		})
+	}
 }

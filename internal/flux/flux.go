@@ -15,7 +15,6 @@ import (
 	"repro/internal/flux/merge"
 	"repro/internal/flux/profile"
 	"repro/internal/moe"
-	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/simtime"
 	"repro/internal/tensor"
@@ -83,27 +82,14 @@ func New(opts Options, n int) *Runner {
 // Name implements fed.Rounder.
 func (r *Runner) Name() string { return "flux" }
 
-// participantResult is one participant's contribution to a Flux round,
-// written into its own slot during the parallel fan-out and reduced in
-// participant order afterwards.
-type participantResult struct {
-	update      fed.Update
-	bytes       float64
-	downBytes   float64 // modeled expert-subset broadcast received
-	localSec    float64
-	visibleProf float64
-	mergeSec    float64
-	assignSec   float64 // assignment + SPSA probes
-	commSec     float64
-}
-
 // Round implements fed.Rounder: one full Flux round across the round's
 // cohort (env.Cohort — the full fleet unless a fleet spec selects fewer),
 // returning the simulated per-phase durations. Participants execute over
 // the environment's worker pool (fed.ForEachOf); per-participant RNG
 // streams are split serially up front and all floating-point reduction
 // happens in cohort order after the pool joins, so results are
-// bit-identical at every worker count.
+// bit-identical at every worker count. The per-slot results go to
+// env.FinishRound, the server reduction every method shares.
 func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 	cfg := env.Global.Cfg
 	eps := r.Opts.Eps.Epsilon(round)
@@ -118,7 +104,7 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 		rngs[slot] = env.RNG.Split(fmt.Sprintf("p%d/r%d", i, round))
 	}
 
-	results := make([]participantResult, len(cohort))
+	slots := make([]fed.SlotResult, len(cohort))
 	err := fed.ForEachOf(env, cohort, func(ws *fed.Scratch, slot, i int) {
 		dev := env.Devices[i]
 		rng := rngs[slot]
@@ -181,7 +167,7 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 			r.refreshUtilities(i, local, grads, a)
 			local.ApplySGD(grads, env.Cfg.LR/float64(len(batch)))
 		}
-		tuneFrac := float64(len(a.Exploit)) / float64(maxi(1, env.TotalExperts()))
+		tuneFrac := float64(len(a.Exploit)) / float64(max(1, env.TotalExperts()))
 		trainSec := dev.Seconds(simtime.TrainFlops(cfg, tokens, tuneFrac))
 
 		// --- Forward-only gradient probes for exploration experts (§6.2).---
@@ -202,112 +188,27 @@ func (r *Runner) Round(env *fed.Env, round int) map[simtime.Phase]float64 {
 			visibleProf = profSec // bootstrap profile is on the critical path
 		}
 
-		results[slot] = participantResult{
-			update:      u,
-			bytes:       bytes,
-			downBytes:   down,
-			localSec:    mergeSec + trainSec + spsaSec,
-			visibleProf: visibleProf,
-			mergeSec:    mergeSec,
-			assignSec:   assignSec + spsaSec,
-			commSec:     commSec,
+		// Fine-tuning is the local span less merging, taken as a difference
+		// of the summed span so its bits match the recorded fixtures.
+		localSec := mergeSec + trainSec + spsaSec
+		slots[slot] = fed.SlotResult{
+			Update:    u,
+			Bytes:     bytes,
+			DownBytes: down,
+			Phases: map[simtime.Phase]float64{
+				simtime.PhaseProfiling:  visibleProf,
+				simtime.PhaseMerging:    mergeSec,
+				simtime.PhaseAssignment: assignSec + spsaSec, // SPSA probes priced under assignment
+				simtime.PhaseFineTuning: localSec - mergeSec,
+				simtime.PhaseComm:       commSec,
+			},
 		}
 	})
 	if err != nil {
 		// Abandon the round: the caller discards partial work.
 		return nil
 	}
-
-	// Event-driven aggregation: hand per-slot results to the server core,
-	// which owns buffering, staleness weighting, and the round's time. The
-	// synchronous reduction below is untouched by this branch. The per-slot
-	// phase split mirrors the sync totals' structure (SPSA probes priced
-	// under assignment, merging split out of local time).
-	if env.Cfg.Agg.Active() {
-		slots := make([]fed.SlotResult, len(results))
-		for slot, p := range results {
-			slots[slot] = fed.SlotResult{
-				Update:    p.update,
-				Bytes:     p.bytes,
-				DownBytes: p.downBytes,
-				Phases: map[simtime.Phase]float64{
-					simtime.PhaseProfiling:  p.visibleProf,
-					simtime.PhaseMerging:    p.mergeSec,
-					simtime.PhaseAssignment: p.assignSec,
-					simtime.PhaseFineTuning: p.localSec - p.mergeSec,
-					simtime.PhaseComm:       p.commSec,
-				},
-			}
-		}
-		return env.FinishRound(cohort, slots)
-	}
-
-	// Straggler resolution: each participant's end-to-end round time is the
-	// sum of its phase contributions; updates past the deadline are dropped
-	// (never under the wait policy or without a deadline).
-	totals := make([]float64, len(results))
-	for slot, p := range results {
-		totals[slot] = p.visibleProf + p.localSec + p.assignSec + p.commSec
-	}
-	outcome := env.ResolveStragglers(totals)
-
-	updates := make([]fed.Update, 0, outcome.Kept)
-	var maxLocal float64
-	var profMax, mergeMax, assignMax, commMax float64
-	var aggBytes float64
-	for slot, p := range results {
-		if !outcome.Keep[slot] {
-			continue
-		}
-		updates = append(updates, p.update)
-		aggBytes += p.bytes
-		maxLocal = math.Max(maxLocal, p.localSec)
-		profMax = math.Max(profMax, p.visibleProf)
-		mergeMax = math.Max(mergeMax, p.mergeSec)
-		assignMax = math.Max(assignMax, p.assignSec)
-		commMax = math.Max(commMax, p.commSec)
-	}
-
-	env.ObserveAggregated(fed.Aggregate(env.Global, updates))
-	env.ObserveUplink(aggBytes)
-	env.ObserveCohort(len(cohort), outcome.Kept)
-	var downBytes float64
-	for _, p := range results {
-		downBytes += p.downBytes // whole cohort: the broadcast precedes the deadline
-	}
-	env.ObserveDownlink(downBytes)
-	serverSec := aggBytes / env.Cfg.ServerBw
-
-	// Observability: per-participant phase splits in slot order, mirroring
-	// the totals above. The nil check keeps the disabled path allocation-free.
-	if rec := env.Obs(); rec != nil {
-		for slot, p := range results {
-			i := cohort[slot]
-			rec.Participant(obs.Participant{
-				Index: i, Device: env.Devices[i].Name,
-				Phases: map[string]float64{
-					string(simtime.PhaseProfiling):  p.visibleProf,
-					string(simtime.PhaseMerging):    p.mergeSec,
-					string(simtime.PhaseAssignment): p.assignSec,
-					string(simtime.PhaseFineTuning): p.localSec - p.mergeSec,
-					string(simtime.PhaseComm):       p.commSec,
-				},
-				UplinkBytes: p.bytes, DownlinkBytes: p.downBytes,
-				Dropped: !outcome.Keep[slot],
-			})
-		}
-	}
-
-	phases := map[simtime.Phase]float64{
-		simtime.PhaseProfiling:  profMax,
-		simtime.PhaseMerging:    mergeMax,
-		simtime.PhaseAssignment: assignMax,
-		simtime.PhaseFineTuning: math.Max(0, maxLocal-mergeMax),
-		simtime.PhaseComm:       commMax + serverSec,
-	}
-	env.AddStragglerWait(phases, outcome,
-		profMax+mergeMax+assignMax+math.Max(0, maxLocal-mergeMax)+commMax)
-	return phases
+	return env.FinishRound(cohort, slots)
 }
 
 // selectBatch applies §4.1's data selection: prefer local samples whose
@@ -387,7 +288,7 @@ func (r *Runner) probeExploration(i int, local *moe.Model, mws *moe.Workspace, b
 	for j, k := range a.Explore {
 		// |D_e| for exploration experts comes from profiling counts; use the
 		// per-token norm estimate directly with the probe token count.
-		r.tables[i].Set(k, assign.Utility(float64(tokens), results[j].Norm/float64(maxi(1, tokens))))
+		r.tables[i].Set(k, assign.Utility(float64(tokens), results[j].Norm/float64(max(1, tokens))))
 	}
 	// Each probe costs one forward pass over the probe sequences, plus one
 	// baseline pass shared across experts.
@@ -414,11 +315,4 @@ func mergeFlops(experts int, opt merge.Options) float64 {
 		base *= 40
 	}
 	return base
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

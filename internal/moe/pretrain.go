@@ -7,8 +7,8 @@ import (
 )
 
 // Pretrain trains the model's embedding, head, and experts (gates and
-// attention stay at their random initialization, as discussed in DESIGN.md)
-// on sequences drawn from sampler. It returns the per-step mean loss curve.
+// attention stay at their random initialization) on sequences drawn from
+// sampler. It returns the per-step mean loss curve.
 //
 // Pre-training serves two purposes in the reproduction: it gives the model a
 // real language-model prior so fine-tuning experiments start from sensible

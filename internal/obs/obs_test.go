@@ -19,7 +19,7 @@ func record(t *testing.T) (trace, runlog []byte) {
 	r.BeginRun(RunMeta{Method: "fmd", Dataset: "gsm8k", Model: "llama", Seed: "s", Transport: "in-process", Participants: 2})
 	r.EndRound(Round{Round: 0, Score: 0.25})
 	r.Participant(Participant{Index: 0, Device: "consumer-low",
-		Phases: map[string]float64{"fine-tuning": 10, "communication": 2, "zeta-extra": 1, "alpha-extra": 1},
+		Phases:      map[string]float64{"fine-tuning": 10, "communication": 2, "zeta-extra": 1, "alpha-extra": 1},
 		UplinkBytes: 100, DownlinkBytes: 200})
 	r.Participant(Participant{Index: 1, Device: "consumer-high",
 		Phases: map[string]float64{"fine-tuning": 5, "communication": 1}, UplinkBytes: 50, DownlinkBytes: 200, Dropped: true})

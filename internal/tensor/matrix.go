@@ -183,7 +183,7 @@ func (ms *MulScratch) MatMulInto(out, a, b *Matrix) {
 			}
 			pack := ms.pack[:kw*jw]
 			for k := 0; k < kw; k++ {
-				copy(pack[k*jw:(k+1)*jw], b.Row(k0+k)[j0:j0+jw])
+				copy(pack[k*jw:(k+1)*jw], b.Row(k0 + k)[j0:j0+jw])
 			}
 			for i := 0; i < a.Rows; i++ {
 				arow := a.Row(i)[k0 : k0+kw]

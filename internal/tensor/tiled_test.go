@@ -32,9 +32,9 @@ func TestMatMulTiledBitIdentity(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{1, 1, 1},
 		{3, 5, 2},
-		{7, matmulTileK, matmulTileJ},     // largest single-block fast-path shape
-		{7, matmulTileK + 1, matmulTileJ}, // one k past the boundary: blocked path
-		{7, matmulTileK, matmulTileJ + 1}, // one j past the boundary: blocked path
+		{7, matmulTileK, matmulTileJ},            // largest single-block fast-path shape
+		{7, matmulTileK + 1, matmulTileJ},        // one k past the boundary: blocked path
+		{7, matmulTileK, matmulTileJ + 1},        // one j past the boundary: blocked path
 		{5, matmulTileK + 37, 2*matmulTileJ + 3}, // multiple ragged blocks
 		{200, 3, 1},                              // tall and narrow
 		{1, 300, 150},                            // wide reduction, blocked path
